@@ -36,9 +36,9 @@
 // as a lane after its prefill, and each scheduler iteration samples all
 // lanes (per-request samplers and stop conditions), retires finished or
 // cancelled lanes, admits waiting ones, and runs ONE batched model step
-// (model.DecodeStepBatch) for the survivors — a single layer walk and a
-// batched output head per token for the whole batch, instead of one per
-// request. A request's token and logit streams are bit-identical to
+// (model.DecodeStepBatchMulti, one token per lane) for the survivors —
+// a single layer walk and a batched output head per token for the whole
+// batch, instead of one per request. A request's token and logit streams are bit-identical to
 // solo decoding; the scheduler changes throughput, never output.
 // /v1/stats (and core.Cache.SchedStats) expose queue depth, active
 // lanes, the batch-size histogram and decode tokens/sec;

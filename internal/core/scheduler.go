@@ -241,7 +241,7 @@ func (s *Scheduler) Generate(ctx context.Context, class string, kv kvcache.KV, l
 func (s *Scheduler) run() {
 	var active, keep []*schedLane
 	var lanes []*model.DecodeLane
-	var tokens, positions []int
+	var tokens, positions [][]int
 	var kvs []kvcache.KV
 	var expired []*schedLane
 	for {
@@ -326,21 +326,21 @@ func (s *Scheduler) run() {
 			continue
 		}
 
-		if spec {
-			s.stepSpec(&active, lanes, kvs)
-			continue
-		}
-
-		// One fused model step for every surviving lane. With no drafts
-		// anywhere in the batch (speculation off, or every draft cold)
-		// this is exactly the pre-speculation hot path.
+		// One fused model step for every surviving lane: each lane scores
+		// its sampled token plus any draft tokens (ln.spec) at consecutive
+		// positions. Without drafts anywhere in the batch (speculation
+		// off, or every draft cold) every lane is a one-token run.
 		tokens, positions = tokens[:0], positions[:0]
 		for _, ln := range active {
-			tokens = append(tokens, ln.next)
-			positions = append(positions, ln.pos)
+			ln.specPos = ln.specPos[:0]
+			for j := range ln.spec {
+				ln.specPos = append(ln.specPos, ln.pos+j)
+			}
+			tokens = append(tokens, ln.spec)
+			positions = append(positions, ln.specPos)
 		}
 		start := time.Now()
-		err := s.m.DecodeStepBatch(lanes, tokens, positions, kvs)
+		err := s.m.DecodeStepBatchMulti(lanes, tokens, positions, kvs)
 		elapsed := time.Since(start)
 		if err != nil {
 			// Malformed batch call: a scheduler bug, not a lane's fault.
@@ -349,6 +349,10 @@ func (s *Scheduler) run() {
 				s.retire(ln, err)
 			}
 			active = active[:0]
+			continue
+		}
+		if spec {
+			s.settleSpec(&active, len(lanes), elapsed)
 			continue
 		}
 		keep = keep[:0]
@@ -372,32 +376,11 @@ func (s *Scheduler) run() {
 	}
 }
 
-// stepSpec runs one fused verify step for a batch in which at least one
-// lane carries draft tokens, then settles every lane's acceptance.
-// active is rewritten in place to the lanes that survived.
-func (s *Scheduler) stepSpec(active *[]*schedLane, lanes []*model.DecodeLane, kvs []kvcache.KV) {
-	mtoks := make([][]int, 0, len(lanes))
-	mpos := make([][]int, 0, len(lanes))
-	for _, ln := range *active {
-		ln.specPos = ln.specPos[:0]
-		for j := range ln.spec {
-			ln.specPos = append(ln.specPos, ln.pos+j)
-		}
-		mtoks = append(mtoks, ln.spec)
-		mpos = append(mpos, ln.specPos)
-	}
-
-	start := time.Now()
-	err := s.m.DecodeStepBatchMulti(lanes, mtoks, mpos, kvs)
-	elapsed := time.Since(start)
-	if err != nil {
-		for _, ln := range *active {
-			s.retire(ln, err)
-		}
-		*active = (*active)[:0]
-		return
-	}
-
+// settleSpec settles every lane's acceptance after a fused step in
+// which at least one lane carried draft tokens, and records the step's
+// speculation stats. active is rewritten in place to the lanes that
+// survived; width is the step's lane count.
+func (s *Scheduler) settleSpec(active *[]*schedLane, width int, elapsed time.Duration) {
 	var produced, proposed, accepted int64
 	keep := (*active)[:0]
 	for _, ln := range *active {
@@ -422,7 +405,7 @@ func (s *Scheduler) stepSpec(active *[]*schedLane, lanes []*model.DecodeLane, kv
 	s.steps++
 	s.specSteps++
 	s.tokens += produced
-	s.hist[len(lanes)-1]++
+	s.hist[width-1]++
 	s.decodeNs += elapsed.Nanoseconds()
 	s.draftProposed += proposed
 	s.draftAccepted += accepted

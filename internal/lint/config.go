@@ -69,9 +69,8 @@ func DefaultConfig() *Config {
 			model + ".Model.Prefill",
 			model + ".Model.PrefillCtx",
 			model + ".Model.Decode",
-			model + ".Model.DecodeStepBatch",
-			// The speculative verify step: a widened fused step, as heavy as
-			// DecodeStepBatch times the draft depth.
+			// The one fused decode step: a layer walk per lane position,
+			// so as heavy as Decode times lanes times draft depth.
 			model + ".Model.DecodeStepBatchMulti",
 			model + ".Model.Generate",
 			model + ".Model.GenerateStream",
@@ -124,7 +123,7 @@ func DefaultConfig() *Config {
 			// Speculative verify and settle: token emission across lanes
 			// (already reachable from run; listed so the root survives a
 			// future refactor that severs that path).
-			core + ".Scheduler.stepSpec",
+			core + ".Scheduler.settleSpec",
 			// Manifest writing: warm restarts replay this byte stream.
 			core + ".Cache.SaveAll",
 			core + ".Cache.SaveSchemaStates",

@@ -189,6 +189,8 @@ type Model struct {
 	// scratchPool recycles per-forward-pass temporaries across requests,
 	// so steady-state prefill/decode allocates no scratch.
 	scratchPool sync.Pool
+	// headPool recycles the fused step's output-head headers.
+	headPool sync.Pool
 
 	// PrefillProbe, when non-nil, is called with +1 as a prefill enters
 	// the forward pass and -1 as it leaves (including error returns).

@@ -10,7 +10,7 @@ import (
 
 // DecodeLane is one sequence's slot in a fused decode batch. It owns the
 // pooled scratch the lane's forward passes run in, so a lane that decodes
-// a whole reply through DecodeStepBatch allocates nothing per token —
+// a whole reply through DecodeStepBatchMulti allocates nothing per token —
 // exactly the property the solo decode loop has. Acquire with
 // NewDecodeLane, release with Close.
 //
@@ -21,17 +21,14 @@ type DecodeLane struct {
 	m  *Model
 	sc *scratch
 
-	// per-step state, valid between a DecodeStepBatch call and the next
-	err  error
-	pos  int
-	rows int  // rows to attend over this step (kv.Len() after AppendPos)
-	skip bool // lane failed validation; excluded from the fused walk
-
-	// multi-position state for DecodeStepBatchMulti: extra holds pooled
-	// scratch for verify positions 1..k-1 (position 0 runs in sc, so a
-	// batch of singletons costs exactly a DecodeStepBatch), mpos/mrows the
-	// per-position query positions and attention row counts, mk the
-	// position count of the lane's current step.
+	// per-step state, valid between a DecodeStepBatchMulti call and the
+	// next: err/skip record a lane that failed validation and is excluded
+	// from the fused walk; extra holds pooled scratch for positions
+	// 1..k-1 (position 0 runs in sc, so plain decode needs no extra);
+	// mpos/mrows are the per-position query positions and attention row
+	// counts, mk the position count of the lane's current step.
+	err   error
+	skip  bool
 	extra []*scratch
 	mpos  []int
 	mrows []int
@@ -56,17 +53,18 @@ func (l *DecodeLane) Close() {
 	l.extra = nil
 }
 
-// Logits returns the lane's next-token logits from the latest
-// DecodeStepBatch call. The slice aliases lane scratch: it is valid until
-// the lane's next step or Close, and must not be mutated.
+// Logits returns the lane's next-token logits at position 0 of the
+// latest DecodeStepBatchMulti call — the only position of a plain decode
+// step. The slice aliases lane scratch: it is valid until the lane's
+// next step or Close, and must not be mutated.
 func (l *DecodeLane) Logits() []float32 { return l.sc.lgOut }
 
-// LogitsAt returns the next-token logits computed at verify position j of
-// the latest DecodeStepBatchMulti call (LogitsAt(0) == Logits()). Same
+// LogitsAt returns the next-token logits computed at position j of the
+// latest DecodeStepBatchMulti call (LogitsAt(0) == Logits()). Same
 // aliasing rules as Logits.
 func (l *DecodeLane) LogitsAt(j int) []float32 { return l.scratchAt(j).lgOut }
 
-// scratchAt maps a verify position to its scratch: position 0 is the
+// scratchAt maps a step position to its scratch: position 0 is the
 // lane's own, the rest come from the extra pool.
 func (l *DecodeLane) scratchAt(j int) *scratch {
 	if j == 0 {
@@ -91,57 +89,95 @@ func (l *DecodeLane) growMulti(k int) {
 	l.mk = k
 }
 
-// Err reports the lane's failure from the latest DecodeStepBatch call,
-// or nil. A failed lane appended nothing to its cache; other lanes in the
-// same batch are unaffected.
+// Err reports the lane's failure from the latest DecodeStepBatchMulti
+// call, or nil. A failed lane appended nothing to its cache; other lanes
+// in the same batch are unaffected.
 func (l *DecodeLane) Err() error { return l.err }
 
-// DecodeStepBatch runs one fused autoregressive step for every lane:
-// lane i appends tokens[i] at positions[i] to kvs[i] and computes its
-// next-token logits (read them with lanes[i].Logits()). The layer loop
-// runs once for the whole batch — each layer's weights are walked a
-// single time while N sequences pass through it — which is what lets a
+// outputHeads is reusable header scratch for the batched output head of
+// one fused step, pooled on the model so steps allocate nothing.
+type outputHeads struct{ dsts, hs [][]float32 }
+
+// DecodeStepBatchMulti runs one fused autoregressive step for every
+// lane: lane i appends tokens[i][j] at positions[i][j] to kvs[i] for
+// every j and computes next-token logits at each of its k positions
+// (read them with lanes[i].LogitsAt(j)). Plain decode is the k = 1 case,
+// one token per lane; the speculative-decoding verify step scores a
+// sampled token plus its drafts. The layer loop runs once for the whole
+// batch — each layer's weights are walked a single time while every
+// lane's positions pass through it — which is what lets a
 // continuous-batching scheduler charge N concurrent generations one
-// shared model traversal per token instead of N independent ones.
+// shared model traversal per step instead of N independent ones.
 //
-// Per-lane arithmetic is exactly the solo decodeStep sequence over the
-// lane's own scratch, in the same order, so a lane's logits are
-// bit-identical whether it steps solo or fused with any batch of
-// neighbors. Lane failures (token out of vocab, position out of range)
-// are reported per lane via Err() without disturbing the rest of the
-// batch; the returned error is reserved for malformed calls.
-func (m *Model) DecodeStepBatch(lanes []*DecodeLane, tokens, positions []int, kvs []kvcache.KV) error {
+// Bit-identity with sequential solo decode is structural, by the same
+// argument that makes prefill and decode agree: the walk is layer-outer,
+// lane-inner, position-inner, and every per-position operation — norm,
+// QKV projections, RoPE at that position, AppendToken, attention over
+// that position's causal row count, projection, FFN — has exactly the
+// inputs and reduction order the solo step() sequence would give it.
+// Position j's attention at layer l sees rows 0..base+j, whose layer-l
+// K/V values were appended earlier in the same layer pass and equal the
+// sequential values. So a lane's logits are bit-identical whether it
+// steps solo or fused with any batch of neighbors, and if the scored
+// tokens match what solo decode would have sampled, the logits at every
+// position match bit-for-bit — the invariant the speculation acceptance
+// loop in internal/core relies on, and what lets rejected drafts fall
+// back to the verified token without recomputing anything.
+//
+// Validation is all-or-nothing per lane: a lane with any out-of-range
+// token or position appends nothing to its cache and is excluded from
+// the walk, reported via Err() without disturbing the rest of the batch.
+// The returned error is reserved for malformed calls (mismatched slice
+// shapes, a lane with no tokens).
+func (m *Model) DecodeStepBatchMulti(lanes []*DecodeLane, tokens, positions [][]int, kvs []kvcache.KV) error {
 	if len(lanes) != len(tokens) || len(lanes) != len(positions) || len(lanes) != len(kvs) {
-		return fmt.Errorf("model: DecodeStepBatch lanes=%d tokens=%d positions=%d kvs=%d",
+		return fmt.Errorf("model: DecodeStepBatchMulti lanes=%d tokens=%d positions=%d kvs=%d",
 			len(lanes), len(tokens), len(positions), len(kvs))
 	}
 	cfg := &m.Cfg
 
-	// Embed + validate each lane and record its position before the layer
-	// loop, mirroring the head of step(): after layer l every cache has
-	// exactly len(Pos) rows.
+	// Embed + validate each lane and record its positions before the
+	// layer loop, mirroring the head of step(): after layer l every cache
+	// has exactly len(Pos) rows.
+	active := 0
 	for i, ln := range lanes {
 		ln.err = nil
 		ln.skip = false
-		tok, pos := tokens[i], positions[i]
-		if tok < 0 || tok >= cfg.VocabSize {
-			ln.err = fmt.Errorf("model: token %d out of vocab %d", tok, cfg.VocabSize)
-			ln.skip = true
+		ln.mk = 0
+		toks, poss := tokens[i], positions[i]
+		if len(toks) == 0 || len(toks) != len(poss) {
+			return fmt.Errorf("model: DecodeStepBatchMulti lane %d has %d tokens but %d positions",
+				i, len(toks), len(poss))
+		}
+		// Validate the whole lane before touching its cache, so a failed
+		// lane appended nothing.
+		for j := range toks {
+			if tok := toks[j]; tok < 0 || tok >= cfg.VocabSize {
+				ln.err = fmt.Errorf("model: token %d out of vocab %d", tok, cfg.VocabSize)
+				ln.skip = true
+				break
+			}
+			if pos := poss[j]; pos < 0 || pos >= cfg.MaxSeq {
+				ln.err = fmt.Errorf("model: position %d out of range [0,%d)", pos, cfg.MaxSeq)
+				ln.skip = true
+				break
+			}
+		}
+		if ln.skip {
 			continue
 		}
-		if pos < 0 || pos >= cfg.MaxSeq {
-			ln.err = fmt.Errorf("model: position %d out of range [0,%d)", pos, cfg.MaxSeq)
-			ln.skip = true
-			continue
+		active++
+		ln.growMulti(len(toks))
+		for j := range toks {
+			sc := ln.scratchAt(j)
+			copy(sc.x, m.embedding.Row(toks[j]))
+			if cfg.PosEnc == Learned {
+				tensor.Add(sc.x, m.posTable.Row(poss[j]))
+			}
+			kvs[i].AppendPos(poss[j])
+			ln.mpos[j] = poss[j]
+			ln.mrows[j] = kvs[i].Len()
 		}
-		sc := ln.sc
-		copy(sc.x, m.embedding.Row(tok))
-		if cfg.PosEnc == Learned {
-			tensor.Add(sc.x, m.posTable.Row(pos))
-		}
-		kvs[i].AppendPos(pos)
-		ln.pos = pos
-		ln.rows = kvs[i].Len()
 	}
 
 	// The fused walk. Lanes share nothing but the read-only weights, so
@@ -149,12 +185,6 @@ func (m *Model) DecodeStepBatch(lanes []*DecodeLane, tokens, positions []int, kv
 	// each worker runs the full layer loop for a contiguous lane range,
 	// which keeps every lane's per-layer operation sequence exactly
 	// step()'s and therefore bit-identical to a solo decode.
-	active := 0
-	for _, ln := range lanes {
-		if !ln.skip {
-			active++
-		}
-	}
 	if workers := m.bk.Workers(); workers > 1 && active >= 2 {
 		if workers > len(lanes) {
 			workers = len(lanes)
@@ -177,34 +207,46 @@ func (m *Model) DecodeStepBatch(lanes []*DecodeLane, tokens, positions []int, kv
 		m.stepLanes(lanes, kvs)
 	}
 
-	// Output head, batched: the embedding (tied head) is the model's
-	// largest matrix and decode streams all of it per token, so walking
-	// each vocab row once for every lane — instead of once per lane — is
-	// the fused step's main memory-bandwidth win. Per-lane dot products
-	// are unchanged in value and order, preserving bit-identity.
-	var dsts, hs [][]float32
+	// Output head, batched over every (lane, position) pair: each vocab
+	// row of the tied embedding — the model's largest matrix — is walked
+	// once per group of up to four logit vectors instead of once per
+	// vector. Per-vector dot products are unchanged in value and order,
+	// preserving bit-identity.
+	oh, _ := m.headPool.Get().(*outputHeads)
+	if oh == nil {
+		oh = new(outputHeads)
+	}
 	for _, ln := range lanes {
 		if ln.skip {
 			continue
 		}
-		sc := ln.sc
-		if sc.lgOut == nil {
-			sc.lgH = make([]float32, cfg.Dim)
-			sc.lgOut = make([]float32, cfg.VocabSize)
+		for j := 0; j < ln.mk; j++ {
+			sc := ln.scratchAt(j)
+			if sc.lgOut == nil {
+				sc.lgH = make([]float32, cfg.Dim)
+				sc.lgOut = make([]float32, cfg.VocabSize)
+			}
+			m.norm(sc.lgH, sc.x, m.finalNormW, m.finalNormB)
+			oh.dsts = append(oh.dsts, sc.lgOut)
+			oh.hs = append(oh.hs, sc.lgH)
 		}
-		m.norm(sc.lgH, sc.x, m.finalNormW, m.finalNormB)
-		dsts = append(dsts, sc.lgOut)
-		hs = append(hs, sc.lgH)
 	}
-	m.bk.OutputHead(dsts, m.embedding, hs)
+	m.bk.OutputHead(oh.dsts, m.embedding, oh.hs)
+	// Drop the references so the pool does not pin lane scratch.
+	clear(oh.dsts)
+	clear(oh.hs)
+	oh.dsts, oh.hs = oh.dsts[:0], oh.hs[:0]
+	m.headPool.Put(oh)
 	return nil
 }
 
-// stepLanes runs the fused layer walk — layer-outer, lane-inner — for a
-// lane range. Within a lane the operation sequence is identical to
-// step()'s layer loop; across lanes nothing is shared but the (read-only)
-// weights, so neither lane order nor the worker split above can change
-// any lane's numbers.
+// stepLanes runs the fused layer walk for a lane range: layer-outer,
+// lane-inner, position-inner. Within a lane, position j's operation
+// sequence at each layer is identical to step()'s, and its attention row
+// count ln.mrows[j] covers exactly the rows a sequential decode would
+// have cached before it. Across lanes nothing is shared but the
+// (read-only) weights, so neither lane order nor the worker split above
+// can change any lane's numbers.
 func (m *Model) stepLanes(lanes []*DecodeLane, kvs []kvcache.KV) {
 	cfg := &m.Cfg
 	for l := range m.layers {
@@ -213,28 +255,31 @@ func (m *Model) stepLanes(lanes []*DecodeLane, kvs []kvcache.KV) {
 			if ln.skip {
 				continue
 			}
-			sc := ln.sc
-			m.norm(sc.h, sc.x, ly.attnNormW, ly.attnNormB)
+			for j := 0; j < ln.mk; j++ {
+				sc := ln.scratchAt(j)
+				pos := ln.mpos[j]
+				m.norm(sc.h, sc.x, ly.attnNormW, ly.attnNormB)
 
-			m.bk.MatVecT(sc.q, ly.wq, sc.h)
-			m.bk.MatVecT(sc.k, ly.wk, sc.h)
-			m.bk.MatVecT(sc.v, ly.wv, sc.h)
-			if cfg.PosEnc == RoPE {
-				m.applyRope(sc.q, cfg.NHeads, ln.pos)
-				m.applyRope(sc.k, cfg.NKVHeads, ln.pos)
-			}
-			kvs[i].AppendToken(l, sc.k, sc.v)
+				m.bk.MatVecT(sc.q, ly.wq, sc.h)
+				m.bk.MatVecT(sc.k, ly.wk, sc.h)
+				m.bk.MatVecT(sc.v, ly.wv, sc.h)
+				if cfg.PosEnc == RoPE {
+					m.applyRope(sc.q, cfg.NHeads, pos)
+					m.applyRope(sc.k, cfg.NKVHeads, pos)
+				}
+				kvs[i].AppendToken(l, sc.k, sc.v)
 
-			m.attend(sc, kvs[i], l, ln.rows, ln.pos)
+				m.attend(sc, kvs[i], l, ln.mrows[j], pos)
 
-			m.bk.MatVecT(sc.proj, ly.wo, sc.attnOut)
-			if cfg.ParallelAttn {
-				tensor.Add(sc.x, sc.proj)
-				m.ffn(sc, ly, sc.h)
-			} else {
-				tensor.Add(sc.x, sc.proj)
-				m.norm(sc.h, sc.x, ly.ffnNormW, ly.ffnNormB)
-				m.ffn(sc, ly, sc.h)
+				m.bk.MatVecT(sc.proj, ly.wo, sc.attnOut)
+				if cfg.ParallelAttn {
+					tensor.Add(sc.x, sc.proj)
+					m.ffn(sc, ly, sc.h)
+				} else {
+					tensor.Add(sc.x, sc.proj)
+					m.norm(sc.h, sc.x, ly.ffnNormW, ly.ffnNormB)
+					m.ffn(sc, ly, sc.h)
+				}
 			}
 		}
 	}

@@ -44,8 +44,6 @@ type scratch struct {
 	// steps reuse one vocab-wide buffer instead of allocating per token.
 	// Lazily sized: prefills compute logits once and never need them.
 	lgH, lgOut []float32
-	// dst1/hs1 are 1-lane output-head headers for the solo decode path.
-	dst1, hs1 [1][]float32
 }
 
 func (m *Model) newScratch() *scratch {
@@ -121,7 +119,7 @@ func (m *Model) PrefillCtx(ctx context.Context, tokens, positions []int, kv kvca
 }
 
 // prefillSequential is the reference per-token path; prefillChunk must
-// agree with it (tested bit-close).
+// agree with it bit for bit (tested exactly).
 func (m *Model) prefillSequential(ctx context.Context, tokens, positions []int, kv kvcache.KV) ([]float32, error) {
 	sc := m.getScratch()
 	defer m.putScratch(sc)
@@ -143,7 +141,7 @@ func (m *Model) prefillSequential(ctx context.Context, tokens, positions []int, 
 // Decode runs one autoregressive step: it appends token at position pos to
 // kv and returns the next-token logits. The returned slice is freshly
 // allocated; decode loops that can reuse buffers go through a DecodeLane
-// and DecodeStepBatch.
+// and DecodeStepBatchMulti.
 func (m *Model) Decode(token, pos int, kv kvcache.KV) ([]float32, error) {
 	sc := m.getScratch()
 	defer m.putScratch(sc)

@@ -245,7 +245,8 @@ func (m *Model) generate(ctx context.Context, kv kvcache.KV, lastLogits []float3
 	lane := m.NewDecodeLane()
 	defer lane.Close()
 	lanes := []*DecodeLane{lane}
-	toks, poss := make([]int, 1), make([]int, 1)
+	tok, pos1 := make([]int, 1), make([]int, 1)
+	toks, poss := [][]int{tok}, [][]int{pos1}
 	kvs := []kvcache.KV{kv}
 	logits := lastLogits
 	pos := kv.MaxPos()
@@ -265,8 +266,8 @@ func (m *Model) generate(ctx context.Context, kv kvcache.KV, lastLogits []float3
 		if pos >= m.Cfg.MaxSeq {
 			break
 		}
-		toks[0], poss[0] = next, pos
-		if err := m.DecodeStepBatch(lanes, toks, poss, kvs); err != nil {
+		tok[0], pos1[0] = next, pos
+		if err := m.DecodeStepBatchMulti(lanes, toks, poss, kvs); err != nil {
 			return out, err
 		}
 		if err := lane.Err(); err != nil {

@@ -25,6 +25,12 @@ import (
 // commute in rounding. This is what lets golden-logits tests, the fused
 // ≡ solo decode guarantee and cross-machine cache reuse hold regardless
 // of which backend served a request.
+//
+// Within one worker a kernel may tile — compute several independent
+// outputs in one pass so that about four or more sums are in flight —
+// provided the tile spans only independent outputs and each sum keeps
+// its reference order and zero-skips (see the package doc's tiling
+// rule). Tiling changes speed, never bits.
 type Backend interface {
 	// Name identifies the backend ("scalar", "parallel").
 	Name() string
@@ -126,29 +132,33 @@ func attendPairs(a *AttendArgs, scores []float32, lo, hi int) {
 			if off+lim > rows {
 				lim = rows - off
 			}
-			for j := 0; j < lim; j++ {
-				row := j * width
-				sc := Dot(qh, sp.K[row+base:row+base+hd]) * a.InvSqrt
-				if a.AlibiSlopes != nil {
-					// Bias from explicit position IDs (§4.2): the classic
-					// -slope·distance, where distance uses the recorded
-					// positions, not array indices, so module gaps behave
-					// like the paper's "white space".
-					dist := qPos - sp.Pos[j]
-					if dist < 0 {
-						dist = 0
-					}
-					sc -= a.AlibiSlopes[h] * float32(dist)
-				}
-				s[off+j] = sc
+			// Score pass, four K rows at a time: Dot4 keeps four
+			// independent sums in flight, each accumulating exactly as
+			// Dot(qh, k) would, so the tiling is invisible in the bits.
+			ks := sp.K
+			j := 0
+			for ; j+4 <= lim; j += 4 {
+				r := j*width + base
+				d0, d1, d2, d3 := Dot4(qh,
+					ks[r:r+hd], ks[r+width:r+width+hd],
+					ks[r+2*width:r+2*width+hd], ks[r+3*width:r+3*width+hd])
+				s[off+j] = a.score(d0, h, qPos, sp.Pos[j])
+				s[off+j+1] = a.score(d1, h, qPos, sp.Pos[j+1])
+				s[off+j+2] = a.score(d2, h, qPos, sp.Pos[j+2])
+				s[off+j+3] = a.score(d3, h, qPos, sp.Pos[j+3])
+			}
+			for ; j < lim; j++ {
+				r := j*width + base
+				s[off+j] = a.score(Dot(qh, ks[r:r+hd]), h, qPos, sp.Pos[j])
 			}
 			off += lim
 		}
 		Softmax(s)
+		// Weighted-V combine: every output dimension is its own sum over
+		// rows ascending with the w == 0 skip, held in registers eight
+		// dimensions at a time across all spans.
 		oh := a.Out.Row(i)[h*hd : (h+1)*hd]
-		for t := range oh {
-			oh[t] = 0
-		}
+		clear(oh)
 		off = 0
 		for _, sp := range a.Spans {
 			if off >= rows {
@@ -158,20 +168,33 @@ func attendPairs(a *AttendArgs, scores []float32, lo, hi int) {
 			if off+lim > rows {
 				lim = rows - off
 			}
-			for j := 0; j < lim; j++ {
-				w := s[off+j]
-				if w == 0 {
-					continue
-				}
-				row := j * width
-				vh := sp.V[row+base : row+base+hd]
-				for t := range oh {
-					oh[t] += w * vh[t]
-				}
+			w := s[off : off+lim]
+			t := 0
+			for ; t+8 <= hd; t += 8 {
+				accumCols8((*[8]float32)(oh[t:t+8]), w, sp.V, base+t, width)
+			}
+			if t < hd {
+				accumCols(oh[t:], w, sp.V, base+t, width)
 			}
 			off += lim
 		}
 	}
+}
+
+// score scales the raw q·k dot product of head h and, under ALiBi,
+// applies the bias from explicit position IDs (§4.2): the classic
+// -slope·distance, where distance uses the recorded positions, not
+// array indices, so module gaps behave like the paper's "white space".
+func (a *AttendArgs) score(dot float32, h, qPos, kPos int) float32 {
+	sc := dot * a.InvSqrt
+	if a.AlibiSlopes != nil {
+		dist := qPos - kPos
+		if dist < 0 {
+			dist = 0
+		}
+		sc -= a.AlibiSlopes[h] * float32(dist)
+	}
+	return sc
 }
 
 func checkAttendArgs(a *AttendArgs) {
@@ -182,12 +205,14 @@ func checkAttendArgs(a *AttendArgs) {
 }
 
 // outputHeadRange computes dsts[k][t] for vocab rows t in [lo, hi) and
-// every lane k, reading each embedding row exactly once per lane group.
-// Lanes go through the widest batched dot kernel that fits (4/2/1): per
-// element the row loads and index arithmetic amortize over the group,
-// which is where a fused decode step beats N solo steps even when every
-// matrix is cache-resident. Per-lane sums are bit-identical to solo Dot
-// calls, so grouping is invisible in the logits.
+// every lane k. Each logit is one float32 sum, a serial chain of adds,
+// so a lone dot product is latency-bound; the tiles below keep four
+// independent sums in flight instead. Lanes go four at a time through
+// Dot4 (one embedding row, four lanes); a 2-lane remainder runs 2 vocab
+// rows × 2 lanes; a 1-lane remainder runs 4 vocab rows through Dot4
+// with the lane as the shared operand. Every sum still accumulates
+// row[i]·h[i] over i ascending — exactly Dot(emb.Row(t), h) — so the
+// tiling is invisible in the logits.
 func outputHeadRange(dsts [][]float32, emb *Matrix, hs [][]float32, lo, hi int) {
 	k := 0
 	for ; k+4 <= len(hs); k += 4 {
@@ -201,18 +226,44 @@ func outputHeadRange(dsts [][]float32, emb *Matrix, hs [][]float32, lo, hi int) 
 	if k+2 <= len(hs) {
 		d0, d1 := dsts[k], dsts[k+1]
 		h0, h1 := hs[k], hs[k+1]
-		for t := lo; t < hi; t++ {
-			row := emb.Row(t)
-			d0[t], d1[t] = Dot2(row, h0, h1)
+		t := lo
+		for ; t+2 <= hi; t += 2 {
+			d0[t], d1[t], d0[t+1], d1[t+1] = dot2x2(emb.Row(t), emb.Row(t+1), h0, h1)
+		}
+		if t < hi {
+			d0[t], d1[t] = Dot2(emb.Row(t), h0, h1)
 		}
 		k += 2
 	}
 	if k < len(hs) {
 		d, h := dsts[k], hs[k]
-		for t := lo; t < hi; t++ {
+		t := lo
+		for ; t+4 <= hi; t += 4 {
+			d[t], d[t+1], d[t+2], d[t+3] = Dot4(h, emb.Row(t), emb.Row(t+1), emb.Row(t+2), emb.Row(t+3))
+		}
+		for ; t < hi; t++ {
 			d[t] = Dot(emb.Row(t), h)
 		}
 	}
+}
+
+// dot2x2 returns a0·b0, a0·b1, a1·b0 and a1·b1 in one pass: four
+// independent sums, each accumulating a[i]·b[i] over i ascending
+// exactly as Dot(aX, bY) would.
+func dot2x2(a0, a1, b0, b1 []float32) (s00, s01, s10, s11 float32) {
+	n := len(a0)
+	if len(a1) != n || len(b0) != n || len(b1) != n {
+		panic(fmt.Sprintf("tensor: dot2x2 length mismatch vs %d", n))
+	}
+	a1, b0, b1 = a1[:n], b0[:n], b1[:n]
+	for i, x0 := range a0 {
+		x1 := a1[i]
+		s00 += x0 * b0[i]
+		s01 += x0 * b1[i]
+		s10 += x1 * b0[i]
+		s11 += x1 * b1[i]
+	}
+	return s00, s01, s10, s11
 }
 
 func checkOutputHead(dsts [][]float32, emb *Matrix, hs [][]float32) {

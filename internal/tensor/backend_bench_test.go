@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/rng"
@@ -47,23 +48,32 @@ func BenchmarkMatVec(b *testing.B) {
 	})
 }
 
+// BenchmarkOutputHead covers the lane counts a fused decode step
+// actually carries: most batch-decode steps hold the 1–3 lanes whose
+// drafts missed, where each logit's serial sum, not weight traffic,
+// bounds the kernel.
 func BenchmarkOutputHead(b *testing.B) {
 	r := rng.NewString("bench/outputhead")
-	const vocab, dim, lanes = 8192, 64, 4
+	const vocab, dim = 8192, 64
 	emb := NewMatrix(vocab, dim)
 	r.FillNormal(emb.Data, 1)
-	hs := make([][]float32, lanes)
-	dsts := make([][]float32, lanes)
-	for k := range hs {
-		hs[k] = make([]float32, dim)
-		r.FillNormal(hs[k], 1)
-		dsts[k] = make([]float32, vocab)
-	}
-	benchBackends(b, func(b *testing.B, bk Backend) {
-		for i := 0; i < b.N; i++ {
-			bk.OutputHead(dsts, emb, hs)
+	for _, lanes := range []int{1, 2, 3, 4, 8} {
+		hs := make([][]float32, lanes)
+		dsts := make([][]float32, lanes)
+		for k := range hs {
+			hs[k] = make([]float32, dim)
+			r.FillNormal(hs[k], 1)
+			dsts[k] = make([]float32, vocab)
 		}
-	})
+		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
+			benchBackends(b, func(b *testing.B, bk Backend) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					bk.OutputHead(dsts, emb, hs)
+				}
+			})
+		})
+	}
 }
 
 func BenchmarkAttendRowBlock(b *testing.B) {
@@ -72,6 +82,36 @@ func BenchmarkAttendRowBlock(b *testing.B) {
 	benchBackends(b, func(b *testing.B, bk Backend) {
 		for i := 0; i < b.N; i++ {
 			bk.AttendRowBlock(a)
+		}
+	})
+}
+
+// BenchmarkAttendDecode is the decode shape of AttendRowBlock: one query
+// row over a 330-row context, the batch-decode tail.
+func BenchmarkAttendDecode(b *testing.B) {
+	r := rng.NewString("bench/attend-decode")
+	a := buildAttend(r, 1, 329, 4, 2, 16, false)
+	benchBackends(b, func(b *testing.B, bk Backend) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			bk.AttendRowBlock(a)
+		}
+	})
+}
+
+// BenchmarkMatVecTDecode is the per-lane projection shape of decode:
+// the model's 64-wide hidden state through a 64×176 FFN matrix.
+func BenchmarkMatVecTDecode(b *testing.B) {
+	r := rng.NewString("bench/matvect-decode")
+	w := NewMatrix(64, 176)
+	r.FillNormal(w.Data, 1)
+	h := make([]float32, 64)
+	r.FillNormal(h, 1)
+	dst := make([]float32, 176)
+	benchBackends(b, func(b *testing.B, bk Backend) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			bk.MatVecT(dst, w, h)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -225,53 +224,4 @@ func TestAutoHonorsEnv(t *testing.T) {
 	if got := Auto().Name(); got != "parallel" {
 		t.Fatalf("Auto() under PC_BACKEND=parallel = %q", got)
 	}
-}
-
-// FuzzBackendKernels drives MatVecT and OutputHead across fuzzer-chosen
-// shapes and worker counts, asserting bit-identity against the scalar
-// reference. The corpus seeds cover the shard-boundary hazards (odd
-// sizes, more workers than elements).
-func FuzzBackendKernels(f *testing.F) {
-	f.Add(uint64(1), 7, 3, 2, 4)
-	f.Add(uint64(2), 1, 1, 1, 1)
-	f.Add(uint64(3), 65, 129, 3, 8)
-	f.Add(uint64(4), 16, 512, 2, 3)
-	f.Fuzz(func(t *testing.T, seed uint64, in, out, lanes, workers int) {
-		if in < 1 || in > 512 || out < 1 || out > 512 || lanes < 1 || lanes > 8 || workers < 1 || workers > 16 {
-			t.Skip()
-		}
-		r := rng.NewString(fmt.Sprintf("fuzz/%d/%d/%d/%d/%d", seed, in, out, lanes, workers))
-		bk := NewParallel(workers)
-
-		w := NewMatrix(in, out)
-		h := make([]float32, in)
-		fillSigned(r, w.Data)
-		fillSigned(r, h)
-		want := make([]float32, out)
-		got := make([]float32, out)
-		Scalar().MatVecT(want, w, h)
-		bk.MatVecT(got, w, h)
-		if i, ok := bitsEqual(want, got); !ok {
-			t.Fatalf("MatVecT %dx%d workers=%d: bit mismatch at %d", in, out, workers, i)
-		}
-
-		emb := NewMatrix(out, in) // vocab=out, dim=in
-		fillSigned(r, emb.Data)
-		hs := make([][]float32, lanes)
-		wantL := make([][]float32, lanes)
-		gotL := make([][]float32, lanes)
-		for k := range hs {
-			hs[k] = make([]float32, in)
-			fillSigned(r, hs[k])
-			wantL[k] = make([]float32, out)
-			gotL[k] = make([]float32, out)
-		}
-		Scalar().OutputHead(wantL, emb, hs)
-		bk.OutputHead(gotL, emb, hs)
-		for k := range wantL {
-			if i, ok := bitsEqual(wantL[k], gotL[k]); !ok {
-				t.Fatalf("OutputHead lane %d workers=%d: bit mismatch at %d", k, workers, i)
-			}
-		}
-	})
 }

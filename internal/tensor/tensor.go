@@ -20,6 +20,22 @@
 // cross-machine cache reuse hold under any backend. Select maps names to
 // instances; Auto picks per the host (and the PC_BACKEND environment
 // variable).
+//
+// # Tiling rule
+//
+// Go compiles each float32 sum as one serial chain of adds, so a kernel
+// that finishes one dot product before starting the next runs at the
+// add latency, not the machine's throughput — decode's small shapes
+// (one to three lanes, 16-wide heads, 64-wide hidden states) are bound
+// by exactly that. The decode-hot kernel bodies, shared by both
+// backends, therefore tile: MatVecT holds 8 output columns in registers
+// (accumCols8), attention scores 4 K rows per pass and combines 8 head
+// dimensions per pass, and the output head runs 4 lanes per embedding
+// row, 2 rows × 2 lanes, or 4 rows of one lane. A tile may only span
+// independent outputs; each sum keeps its accumulation order and its
+// zero-skips, so a tiled kernel is bit-identical to the plain loop; and
+// a tile should keep about four or more sums in flight. The plain
+// loops live on in reference_test.go as the definition of the bits.
 package tensor
 
 import (
@@ -176,22 +192,72 @@ func checkMatVecT(dst []float32, w *Matrix, h []float32) {
 	}
 }
 
+// matVecTRowBlock bounds the rows of W that matVecTRange walks per
+// column tile. A tile reads W down a column, one cache line per row;
+// blocking keeps the rows every tile of a block reads (128 KB at 512
+// columns) in L2, and one tile's 64 lines in L1 for the neighbouring
+// tile that shares them.
+const matVecTRowBlock = 64
+
 // matVecTRange computes dst[j] = Σ_i W[i][j]·h[i] for columns
 // j in [lo, hi). Each column accumulates over i ascending with the
 // h[i] == 0 skip, so any column partition yields identical bits.
+// Columns go eight at a time through accumCols8, which keeps their sums
+// in registers; rows go in blocks of matVecTRowBlock, each block
+// continuing the sums the previous one left in dst.
 func matVecTRange(dst []float32, w *Matrix, h []float32, lo, hi int) {
 	out := dst[lo:hi]
-	for j := range out {
-		out[j] = 0
+	clear(out)
+	for r0 := 0; r0 < len(h); r0 += matVecTRowBlock {
+		hb := h[r0:min(r0+matVecTRowBlock, len(h))]
+		off := r0*w.Cols + lo
+		j := 0
+		for ; j+8 <= len(out); j += 8 {
+			accumCols8((*[8]float32)(out[j:j+8]), hb, w.Data, off+j, w.Cols)
+		}
+		if j < len(out) {
+			accumCols(out[j:], hb, w.Data, off+j, w.Cols)
+		}
 	}
-	for i, hv := range h {
-		if hv == 0 {
-			continue
+}
+
+// accumCols8 adds Σ_i coef[i]·data[off+i·stride+c] into d[c] for each
+// of d's eight columns c: rows i ascending, coef[i] == 0 skipped. That
+// is exactly the accumulation of a row-streaming d[c] += coef[i]·row[c]
+// loop, but a float32 sum is a serial chain of adds, so that loop waits
+// on each add through memory; here the eight sums stay in registers
+// and eight chains are in flight at once.
+func accumCols8(d *[8]float32, coef, data []float32, off, stride int) {
+	s0, s1, s2, s3, s4, s5, s6, s7 := d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7]
+	for _, c := range coef {
+		if c != 0 {
+			r := data[off : off+8 : off+8]
+			s0 += c * r[0]
+			s1 += c * r[1]
+			s2 += c * r[2]
+			s3 += c * r[3]
+			s4 += c * r[4]
+			s5 += c * r[5]
+			s6 += c * r[6]
+			s7 += c * r[7]
 		}
-		row := w.Row(i)[lo:hi]
-		for j, wv := range row {
-			out[j] += hv * wv
+		off += stride
+	}
+	d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = s0, s1, s2, s3, s4, s5, s6, s7
+}
+
+// accumCols is accumCols8 for any column count: the plain
+// row-streaming loop, used for the columns left over after the
+// eight-wide tiles.
+func accumCols(d, coef, data []float32, off, stride int) {
+	for _, c := range coef {
+		if c != 0 {
+			r := data[off : off+len(d)]
+			for k, v := range r {
+				d[k] += c * v
+			}
 		}
+		off += stride
 	}
 }
 
